@@ -35,7 +35,7 @@
 //! rows then additionally carry each pass's deterministic counters (e.g.
 //! `rewrites`, `iterations`), so `bench_diff` against a script baseline
 //! pins the pass-level behaviour exactly.  Scripted runs keep the
-//! `sat_parallelism` 1-vs-4 determinism cross-check; they cannot be
+//! thread-count determinism cross-check; they cannot be
 //! combined with `--checkpoint-every` (the cancel→resume cycle is specific
 //! to the default pipeline).
 //!
@@ -201,12 +201,13 @@ fn run_pipeline_checkpointed(
 
 /// Runs the standard pipeline on one benchmark and renders its JSON row.
 ///
-/// The pipeline is run twice — sequentially and with `sat_parallelism = 4`
-/// — and the deterministic counters plus the final network must agree (the
-/// parallel prover's determinism guarantee); the row reports the sequential
-/// run's numbers.  With `checkpoint_every` set, the sequential run is the
+/// The pipeline is run twice — with `threads` simulation threads and with
+/// a different thread count (4, or 1 when `threads` is 1) — and the
+/// deterministic counters plus the final network must agree (the
+/// parallel-simulation determinism guarantee); the row reports the first
+/// run's numbers.  With `checkpoint_every` set, the first run is the
 /// cancel→resume execution of [`run_pipeline_checkpointed`] — its counters
-/// must *still* agree with the plain parallel run, pinning the resume
+/// must *still* agree with the plain cross-check run, pinning the resume
 /// identity per benchmark before `bench_diff` pins it against the baseline.
 fn pipeline_json_row(
     name: &str,
@@ -217,10 +218,9 @@ fn pipeline_json_row(
     compact_every: u64,
     par_times: &mut (f64, f64),
 ) -> String {
-    let run = |sat_par: usize| {
+    let run = |threads: usize| {
         let config = SweepConfig::fast()
             .parallelism(threads)
-            .sat_parallelism(sat_par)
             .compact_every(compact_every);
         let manager = match script {
             Some(script) => Pipeline::new(config)
@@ -237,30 +237,27 @@ fn pipeline_json_row(
     };
     let outcome = match checkpoint_every {
         Some(every) => run_pipeline_checkpointed(name, aig, threads, every, compact_every),
-        None => run(1),
+        None => run(threads),
     };
-    let parallel = run(4);
+    let other = if threads == 1 { 4 } else { 1 };
+    let parallel = run(other);
     assert_eq!(
         (
             outcome.report.sat_calls_total,
             outcome.report.merges,
             outcome.report.constants,
-            outcome.report.sat_batches,
-            outcome.report.sat_parallel_conflicts,
         ),
         (
             parallel.report.sat_calls_total,
             parallel.report.merges,
             parallel.report.constants,
-            parallel.report.sat_batches,
-            parallel.report.sat_parallel_conflicts,
         ),
-        "{name}: pipeline counters differ between sat_parallelism 1 and 4"
+        "{name}: pipeline counters differ between {threads} and {other} threads"
     );
     assert_eq!(
         netlist::aiger::write_aiger_string(&outcome.aig),
         netlist::aiger::write_aiger_string(&parallel.aig),
-        "{name}: pipeline output differs between sat_parallelism 1 and 4"
+        "{name}: pipeline output differs between {threads} and {other} threads"
     );
     par_times.0 += outcome.report.total_time.as_secs_f64();
     par_times.1 += parallel.report.total_time.as_secs_f64();
@@ -299,7 +296,6 @@ fn pipeline_json_row(
         "      {{\"benchmark\": \"{}\", \"gates_before\": {}, \"gates_after\": {}, \
          \"sat_calls\": {}, \"merges\": {}, \"constants\": {}, \
          \"resim_events\": {}, \"resim_nodes\": {}, \"resim_skipped\": {}, \
-         \"sat_batches\": {}, \"sat_conflicts\": {}, \
          \"total_s\": {:.6}, \"passes\": [{}]}}",
         name,
         r.gates_before,
@@ -310,8 +306,6 @@ fn pipeline_json_row(
         r.resim_events,
         r.resim_nodes,
         r.resim_skipped_nodes,
-        r.sat_batches,
-        r.sat_parallel_conflicts,
         r.total_time.as_secs_f64(),
         passes.join(", ")
     )
@@ -536,7 +530,7 @@ fn main() {
             })
             .collect();
         println!(
-            "pipeline wall-clock: sat_parallelism 1 = {:.3}s, sat_parallelism 4 = {:.3}s \
+            "pipeline wall-clock: {:.3}s, thread-count cross-check {:.3}s \
              (identical counters and outputs)",
             par_times.0, par_times.1
         );

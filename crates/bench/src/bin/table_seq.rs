@@ -9,12 +9,12 @@
 //! sweep is verified against the BMC sequential-equivalence oracle unless
 //! `--no-verify` is passed.
 //!
-//! Usage: `cargo run -p bench --release --bin table_seq -- [--scale tiny|small|large] [--depth K] [--patterns N] [--no-verify] [--json PATH] [--sat-par N]`
+//! Usage: `cargo run -p bench --release --bin table_seq -- [--scale tiny|small|large] [--depth K] [--patterns N] [--no-verify] [--json PATH] [--threads N]`
 //!
 //! With `--json PATH` the measured numbers are written as a JSON snapshot
 //! (the format of the checked-in `BENCH_baseline_seq.json`, gated in CI by
 //! `bench_diff`).  The JSON run additionally re-sweeps every benchmark with
-//! `num_threads = sat_parallelism = N` (`--sat-par`, default 4) and
+//! `num_threads = N` (`--threads`, default 4) and
 //! **asserts** that the committed proofs, all report counters and the swept
 //! AIGER bytes are identical to the sequential run — the determinism
 //! guarantee of the sequential engine, enforced on every snapshot.
@@ -47,9 +47,9 @@ fn seq_suite(scale: Scale) -> Vec<(String, Aig)> {
     suite
 }
 
-fn sweep(aig: &Aig, config: SweepConfig, threads: usize, sat_par: usize) -> SweepResult {
+fn sweep(aig: &Aig, config: SweepConfig, threads: usize) -> SweepResult {
     Sweeper::new(Engine::Stp)
-        .config(config.parallelism(threads).sat_parallelism(sat_par))
+        .config(config.parallelism(threads))
         .run(aig)
         .expect("valid sequential sweep config")
 }
@@ -108,14 +108,14 @@ fn main() {
     let depth: usize = arg_value(&args, "--depth")
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
-    let sat_par: usize = arg_value(&args, "--sat-par")
+    let threads: usize = arg_value(&args, "--threads")
         .and_then(|v| v.parse().ok())
         .unwrap_or(4);
     let num_patterns: usize = arg_value(&args, "--patterns")
         .and_then(|v| v.parse().ok())
         .unwrap_or(64);
-    if depth == 0 || sat_par == 0 || num_patterns == 0 {
-        eprintln!("--depth, --sat-par and --patterns must be nonzero");
+    if depth == 0 || threads == 0 || num_patterns == 0 {
+        eprintln!("--depth, --threads and --patterns must be nonzero");
         std::process::exit(2);
     }
 
@@ -133,11 +133,11 @@ fn main() {
     let mut json_rows = Vec::new();
 
     for (name, aig) in seq_suite(scale) {
-        let result = sweep(&aig, config, 1, 1);
+        let result = sweep(&aig, config, 1);
 
         if json_path.is_some() {
             // The snapshot doubles as the determinism proof.
-            let parallel = sweep(&aig, config, sat_par, sat_par);
+            let parallel = sweep(&aig, config, threads);
             assert_parallel_identical(&name, &result, &parallel);
         }
         if verify {
@@ -200,11 +200,11 @@ fn main() {
         let document = format!(
             "{{\n  \"table\": \"table_seq_sequential\",\n  \"scale\": \"{scale:?}\",\n  \
              \"patterns\": {num_patterns},\n  \"seq_depth\": {depth},\n  \
-             \"sat_par_checked\": {sat_par},\n  \
+             \"threads_checked\": {threads},\n  \
              \"rows\": [\n{}\n  ]\n}}\n",
             json_rows.join(",\n")
         );
         std::fs::write(&path, document).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("\nwrote {path} (parallelism {sat_par} verified identical to sequential)");
+        println!("\nwrote {path} ({threads} threads verified identical to sequential)");
     }
 }

@@ -13,15 +13,8 @@
 //! * [`session`] — the sweeping engine behind both the baseline and the
 //!   STP sweeper (Algorithm 2), driven through the [`Sweeper`] builder:
 //!   engine selection ([`Engine`]), progress [`Observer`]s, resource
-//!   [`Budget`]s with partial results, and typed [`SweepError`]s.
-//! * [`prover`] / [`batching`] — parallel SAT proving over speculative
-//!   candidate batches ([`ParallelProver`]): prefix batch formation under a
-//!   pluggable [`BatchPolicy`] (support-disjointness prior, or the
-//!   refinement-aware policy learning from the co-split statistic), slot-keyed
-//!   solver pools with pre-query snapshots, optional sharded proving
-//!   ([`SweepConfig::shards`]), all committed at a barrier in canonical
-//!   candidate order so every [`SweepConfig::sat_parallelism`], policy and
-//!   shard count commits the identical sweep.
+//!   [`Budget`]s with partial results, and typed [`SweepError`]s.  Every
+//!   SAT query of a sweep runs on one incremental [`satsolver::CircuitSat`].
 //! * [`passes`] / [`pipeline`] — the optimisation-pass framework: a
 //!   [`Pass`] trait with structural cleanups, cut-based NPN rewriting
 //!   ([`passes::Rewrite`]), the [`passes::Dc2`] fixpoint loop, sweeps and
@@ -85,7 +78,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batching;
 pub mod bmc;
 pub mod budget;
 pub mod cec;
@@ -97,7 +89,6 @@ pub mod observer;
 pub mod passes;
 pub mod patterns;
 pub mod pipeline;
-pub mod prover;
 pub mod report;
 pub mod resim;
 pub mod sequential;
@@ -113,6 +104,5 @@ pub use error::SweepError;
 pub use observer::{NoopObserver, Observer, SatCallOutcome, StatsObserver};
 pub use passes::{ParsePassError, Pass, PassCtx};
 pub use pipeline::{PassManager, PassReport, Pipeline, PipelineResult};
-pub use prover::{shard_slots, BatchProof, ParallelProver, SupportIndex};
-pub use report::{BatchPolicy, SweepConfig, SweepReport, SweepResult};
+pub use report::{SweepConfig, SweepReport, SweepResult};
 pub use session::{Engine, SweepSession, Sweeper};

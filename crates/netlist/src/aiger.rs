@@ -102,22 +102,94 @@ pub fn read_aiger_bytes(bytes: &[u8]) -> Result<Aig, AigerError> {
     let l = parse(fields[3])?;
     let o = parse(fields[4])?;
     let a = parse(fields[5])?;
-    // The ASCII format allows M to exceed I+L+A (unused variable indices);
-    // the binary format requires equality.
-    if m < i + l + a || (fields[0] == "aig" && m != i + l + a) {
+    let body = &bytes[header_end + 1..];
+    let binary = match fields[0] {
+        "aag" => false,
+        "aig" => true,
+        other => return Err(format_err(format!("unknown format tag '{other}'"))),
+    };
+    check_header(m, i, l, o, a, body.len(), binary)?;
+    if binary {
+        read_binary(body, m, i, l, o, a)
+    } else {
+        let body = std::str::from_utf8(body).map_err(|_| format_err("ascii body is not utf-8"))?;
+        read_ascii(body, m, i, l, o, a)
+    }
+}
+
+/// Inputs a binary file may declare per byte of body: binary inputs are
+/// implicit, so their count is bounded by this ratio instead of by lines.
+const BINARY_INPUTS_PER_BYTE: usize = 16;
+
+/// Checks the header counts against each other and against the body
+/// length before anything is allocated from them, so a short file cannot
+/// ask for a huge variable table.
+///
+/// Every latch, output and AND gate takes at least one byte of body (every
+/// ASCII input too).  The ASCII format allows M to exceed I+L+A (unused
+/// variable indices), but not by more than the body has bytes; the binary
+/// format requires M = I+L+A and bounds the implicit inputs by
+/// [`BINARY_INPUTS_PER_BYTE`].
+fn check_header(
+    m: usize,
+    i: usize,
+    l: usize,
+    o: usize,
+    a: usize,
+    body_len: usize,
+    binary: bool,
+) -> Result<(), AigerError> {
+    let too_long = || format_err("header counts exceed what the file body can hold");
+    let defined = i
+        .checked_add(l)
+        .and_then(|n| n.checked_add(a))
+        .ok_or_else(too_long)?;
+    let listed = l
+        .checked_add(o)
+        .and_then(|n| n.checked_add(a))
+        .and_then(|n| if binary { Some(n) } else { n.checked_add(i) })
+        .ok_or_else(too_long)?;
+    let max_inputs = body_len
+        .saturating_add(1)
+        .saturating_mul(BINARY_INPUTS_PER_BYTE);
+    if listed > body_len || (binary && i > max_inputs) {
+        return Err(too_long());
+    }
+    if m < defined || (binary && m != defined) {
         return Err(format_err(format!(
-            "inconsistent header: M={m} but I+L+A={}",
-            i + l + a
+            "inconsistent header: M={m} but I+L+A={defined}"
         )));
     }
-    match fields[0] {
-        "aag" => {
-            let body = std::str::from_utf8(&bytes[header_end + 1..])
-                .map_err(|_| format_err("ascii body is not utf-8"))?;
-            read_ascii(body, m, i, l, o, a)
+    if m - defined > body_len {
+        return Err(too_long());
+    }
+    Ok(())
+}
+
+/// Records the definition of AIGER variable `lit / 2` (from an input,
+/// latch or AND line), rejecting odd literals, variables above M, the
+/// constant and redefinitions.
+fn define_var(
+    var_map: &mut [Option<Lit>],
+    lit: usize,
+    value: Lit,
+    what: &str,
+) -> Result<(), AigerError> {
+    if lit % 2 != 0 {
+        return Err(format_err(format!("{what} literal {lit} must be even")));
+    }
+    let var = lit / 2;
+    match var_map.get_mut(var) {
+        Some(slot @ None) => {
+            *slot = Some(value);
+            Ok(())
         }
-        "aig" => read_binary(&bytes[header_end + 1..], m, i, l, o, a),
-        other => Err(format_err(format!("unknown format tag '{other}'"))),
+        Some(Some(_)) => Err(format_err(format!(
+            "{what} literal {lit} redefines variable {var}"
+        ))),
+        None => Err(format_err(format!(
+            "{what} literal {lit} exceeds the header's maximum variable index"
+        ))),
     }
 }
 
@@ -203,11 +275,8 @@ fn read_ascii(
             .trim()
             .parse()
             .map_err(|_| format_err(format!("invalid input literal '{line}'")))?;
-        if lit % 2 != 0 {
-            return Err(format_err("input literal must be even"));
-        }
         let input = aig.add_input(format!("pi{idx}"));
-        var_map[lit / 2] = Some(input);
+        define_var(&mut var_map, lit, input, "input")?;
     }
     // Latches: the state side becomes an extra PI; the reset field is kept.
     let mut latches = Vec::with_capacity(l);
@@ -219,9 +288,6 @@ fn read_ascii(
             .ok_or_else(|| format_err("latch line missing literal"))?
             .parse()
             .map_err(|_| format_err("invalid latch literal"))?;
-        if q % 2 != 0 {
-            return Err(format_err("latch literal must be even"));
-        }
         let next: usize = parts
             .next()
             .ok_or_else(|| format_err("latch line missing next-state literal"))?
@@ -229,7 +295,7 @@ fn read_ascii(
             .map_err(|_| format_err("invalid latch next-state literal"))?;
         let init = parse_latch_init(parts.next(), q)?;
         let latch = aig.add_input(format!("latch{idx}"));
-        var_map[q / 2] = Some(latch);
+        define_var(&mut var_map, q, latch, "latch")?;
         latches.push((next, init));
     }
     // Outputs.
@@ -261,22 +327,29 @@ fn read_ascii(
         if lhs % 2 != 0 {
             return Err(format_err("and gate lhs must be even"));
         }
+        if [lhs, rhs0, rhs1].iter().any(|&lit| lit / 2 > m) {
+            return Err(format_err(format!(
+                "and gate {lhs} {rhs0} {rhs1} exceeds the header's maximum variable index"
+            )));
+        }
         pending.push((lhs, rhs0, rhs1));
     }
     while !pending.is_empty() {
         let before = pending.len();
+        let mut defined = Ok(());
         pending.retain(|&(lhs, rhs0, rhs1)| {
             let ready = var_map[rhs0 / 2].is_some() && var_map[rhs1 / 2].is_some();
-            if ready {
+            if ready && defined.is_ok() {
                 let f0 = map_lit(rhs0, &var_map).expect("fanin checked defined");
                 let f1 = map_lit(rhs1, &var_map).expect("fanin checked defined");
                 // Constant folding or structural hashing may return any
                 // literal (possibly complemented); the map stores it as-is.
                 let lit = aig.and(f0, f1);
-                var_map[lhs / 2] = Some(lit);
+                defined = define_var(&mut var_map, lhs, lit, "and gate");
             }
             !ready
         });
+        defined?;
         if pending.len() == before {
             return Err(format_err(
                 "cyclic or dangling and-gate definitions in aag body",
@@ -350,7 +423,11 @@ fn read_binary(
             }
             let byte = body[*cursor];
             *cursor += 1;
-            value |= ((byte & 0x7f) as usize) << shift;
+            let part = ((byte & 0x7f) as usize)
+                .checked_shl(shift)
+                .filter(|part| part >> shift == (byte & 0x7f) as usize)
+                .ok_or_else(|| format_err("binary and-gate delta overflows"))?;
+            value |= part;
             if byte & 0x80 == 0 {
                 return Ok(value);
             }
@@ -734,6 +811,71 @@ mod tests {
         assert!(read_aiger_str("aag 1 1 0 0\n").is_err());
         assert!(read_aiger_str("aag 5 1 0 0 1\n2\n").is_err());
         assert!(read_aiger_str("xyz 0 0 0 0 0\n").is_err());
+    }
+
+    #[test]
+    fn out_of_range_literals_are_errors_not_panics() {
+        // An input literal above 2·M used to index past the variable table.
+        assert!(matches!(
+            read_aiger_str("aag 1 1 0 1 0\n8\n8\n"),
+            Err(AigerError::Format(_))
+        ));
+        // The same for latch and AND literals, and for redefinitions.
+        for text in [
+            "aag 1 0 1 0 0\n8 0\n",
+            "aag 1 1 0 0 1\n2\n8 2 2\n",
+            "aag 2 1 0 0 1\n2\n4 2 9\n",
+            "aag 1 2 0 0 0\n2\n2\n",
+            "aag 1 1 0 0 1\n2\n2 2 2\n",
+            "aag 1 1 0 0 1\n2\n0 2 2\n",
+        ] {
+            assert!(
+                matches!(read_aiger_str(text), Err(AigerError::Format(_))),
+                "{text:?} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn header_counts_are_bounded_by_the_body() {
+        // Counts whose sum overflows used to panic with a capacity overflow.
+        assert!(matches!(
+            read_aiger_str("aag 4000000000000000000 0 0 0 0\n"),
+            Err(AigerError::Format(_))
+        ));
+        // A 23-byte file used to reserve a 2·10⁹-entry variable table.
+        assert!(matches!(
+            read_aiger_str("aag 2000000000 0 0 0 0\n"),
+            Err(AigerError::Format(_))
+        ));
+        for text in [
+            "aag 18446744073709551615 18446744073709551615 1 0 0\n",
+            "aag 3 1 1 1 0\n2\n",
+            "aig 5 0 0 0 5\n",
+            "aig 2000000000 2000000000 0 0 0\n",
+        ] {
+            assert!(
+                matches!(read_aiger_str(text), Err(AigerError::Format(_))),
+                "{text:?} must be rejected"
+            );
+        }
+        // Unused variable indices within the bound stay legal.
+        let aig = read_aiger_str("aag 3 1 0 1 0\n2\n2\n").expect("unused indices are fine");
+        assert_eq!(aig.num_inputs(), 1);
+        // Binary inputs are implicit, so a short file may still declare some.
+        let aig = read_aiger_bytes(b"aig 3 3 0 0 0\n").expect("implicit inputs");
+        assert_eq!(aig.num_inputs(), 3);
+    }
+
+    #[test]
+    fn oversized_binary_deltas_are_errors() {
+        let mut bytes = b"aig 2 1 0 1 1\n4\n".to_vec();
+        bytes.extend_from_slice(&[0xff; 12]);
+        bytes.push(0x01);
+        assert!(matches!(
+            read_aiger_bytes(&bytes),
+            Err(AigerError::Format(_))
+        ));
     }
 
     #[test]

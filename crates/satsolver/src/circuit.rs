@@ -84,6 +84,12 @@ pub struct CircuitSat<'a> {
     /// Whether the AND-gate clauses of a node have been added.
     encoded: Vec<bool>,
     stats: QueryStats,
+    /// Counter-example scratch: `justified[n] == justify_stamp` marks the
+    /// nodes justified for the current counter-example (a fresh stamp per
+    /// query instead of clearing the vector).
+    justified: Vec<u32>,
+    justify_stamp: u32,
+    justify_stack: Vec<NodeId>,
 }
 
 impl<'a> CircuitSat<'a> {
@@ -95,6 +101,9 @@ impl<'a> CircuitSat<'a> {
             node_var: vec![None; aig.num_nodes()],
             encoded: vec![false; aig.num_nodes()],
             stats: QueryStats::default(),
+            justified: vec![0; aig.num_nodes()],
+            justify_stamp: 0,
+            justify_stack: Vec::new(),
         }
     }
 
@@ -148,6 +157,9 @@ impl<'a> CircuitSat<'a> {
                 .collect(),
             encoded: snap.encoded.clone(),
             stats: snap.stats,
+            justified: vec![0; aig.num_nodes()],
+            justify_stamp: 0,
+            justify_stack: Vec::new(),
         })
     }
 
@@ -204,9 +216,8 @@ impl<'a> CircuitSat<'a> {
     }
 
     /// Extracts the primary-input assignment of the current model.  Inputs
-    /// that were never encoded (outside the queried cones) or left
-    /// unassigned default to `false`.
-    fn extract_counterexample(&self) -> Vec<bool> {
+    /// that were never encoded or left unassigned default to `false`.
+    fn extract_assignment(&self) -> Vec<bool> {
         self.aig
             .inputs()
             .iter()
@@ -215,6 +226,58 @@ impl<'a> CircuitSat<'a> {
                     .and_then(|v| self.solver.model_value(v))
                     .unwrap_or(false)
             })
+            .collect()
+    }
+
+    /// The value of an encoded node in the current model.
+    fn model_node_value(&self, node: NodeId) -> bool {
+        self.node_var[node]
+            .and_then(|v| self.solver.model_value(v))
+            .unwrap_or(false)
+    }
+
+    /// Extracts a counter-example for a query on `roots`: the model's
+    /// values on the inputs that *justify* the roots' model values, `false`
+    /// on every other input.
+    ///
+    /// Justification walks back from the roots: an AND node at 1 needs both
+    /// fanins, an AND node at 0 needs one fanin at 0 (the first, if both
+    /// are).  Any assignment that agrees with the model on the justified
+    /// inputs gives the roots their model values, so the result is still a
+    /// counter-example.  Fixing the rest matters for a solver that lives
+    /// for a whole sweep: inputs outside the justification — inside the
+    /// cone or not — carry leftovers of earlier, unrelated search, and the
+    /// counter-example should depend on the queried cone, not on them.
+    fn extract_counterexample(&mut self, roots: &[NodeId]) -> Vec<bool> {
+        self.justify_stamp = self.justify_stamp.wrapping_add(1);
+        if self.justify_stamp == 0 {
+            self.justified.fill(0);
+            self.justify_stamp = 1;
+        }
+        let stamp = self.justify_stamp;
+        let mut stack = std::mem::take(&mut self.justify_stack);
+        stack.extend_from_slice(roots);
+        while let Some(node) = stack.pop() {
+            if self.justified[node] == stamp {
+                continue;
+            }
+            self.justified[node] = stamp;
+            if let AigNode::And { fanin0, fanin1 } = *self.aig.node(node) {
+                if self.model_node_value(node) {
+                    stack.push(fanin0.node());
+                    stack.push(fanin1.node());
+                } else if self.model_node_value(fanin0.node()) == fanin0.is_complemented() {
+                    stack.push(fanin0.node());
+                } else {
+                    stack.push(fanin1.node());
+                }
+            }
+        }
+        self.justify_stack = stack;
+        self.aig
+            .inputs()
+            .iter()
+            .map(|&node| self.justified[node] == stamp && self.model_node_value(node))
             .collect()
     }
 
@@ -245,11 +308,19 @@ impl<'a> CircuitSat<'a> {
         self.solver.add_clause(&[!d_pos, sa, sb]);
         let result = self.solver.solve_limited(&[d_pos], conflict_budget);
         self.record(result);
-        match result {
+        let outcome = match result {
             SolveResult::Unsat => EquivOutcome::Equivalent,
-            SolveResult::Sat => EquivOutcome::CounterExample(self.extract_counterexample()),
+            SolveResult::Sat => {
+                EquivOutcome::CounterExample(self.extract_counterexample(&[a.node(), b.node()]))
+            }
             SolveResult::Unknown => EquivOutcome::Undetermined,
-        }
+        };
+        // Retire the selector: with ¬d a level-0 unit, both miter clauses
+        // stay satisfied for good and `d` is never branched on again, so a
+        // solver that lives for a whole sweep does not drag dead miters
+        // through its search.
+        self.solver.add_clause(&[!d_pos]);
+        outcome
     }
 
     /// Checks whether an AIG literal is the constant `value`.
@@ -263,7 +334,9 @@ impl<'a> CircuitSat<'a> {
         self.record(result);
         match result {
             SolveResult::Unsat => EquivOutcome::Equivalent,
-            SolveResult::Sat => EquivOutcome::CounterExample(self.extract_counterexample()),
+            SolveResult::Sat => {
+                EquivOutcome::CounterExample(self.extract_counterexample(&[lit.node()]))
+            }
             SolveResult::Unknown => EquivOutcome::Undetermined,
         }
     }
@@ -280,7 +353,7 @@ impl<'a> CircuitSat<'a> {
         let result = self.solver.solve_limited(&assumptions, conflict_budget);
         self.record(result);
         match result {
-            SolveResult::Sat => Some(self.extract_counterexample()),
+            SolveResult::Sat => Some(self.extract_assignment()),
             _ => None,
         }
     }

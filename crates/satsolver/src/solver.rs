@@ -168,6 +168,8 @@ pub struct Solver {
     stats: SolverStats,
     num_learnts: usize,
     seen: Vec<bool>,
+    /// Conflict-analysis scratch: the clause most recently learnt.
+    learnt: Vec<SatLit>,
 }
 
 impl Solver {
@@ -456,6 +458,7 @@ impl Solver {
             stats: snap.stats,
             num_learnts: snap.num_learnts,
             seen: vec![false; num_vars],
+            learnt: Vec::new(),
         })
     }
 
@@ -468,7 +471,7 @@ impl Solver {
     }
 
     fn value(&self, lit: SatLit) -> Option<bool> {
-        self.assigns[lit.var().index()].map(|v| v != lit.is_negative())
+        lit_value(&self.assigns, lit)
     }
 
     fn enqueue(&mut self, lit: SatLit, reason: Option<usize>) {
@@ -501,58 +504,69 @@ impl Solver {
         self.qhead = self.trail.len();
     }
 
+    /// Unit propagation over the two-literal watches.
+    ///
+    /// Each watch list is compacted in place (read index `i`, write index
+    /// `j`, as in MiniSat): the list is moved out of `watches` for the scan
+    /// and moved back afterwards, so propagating a literal allocates
+    /// nothing.  Clauses are visited in list order and kept watchers keep
+    /// their relative order, which fixes which conflict is found first.
     fn propagate(&mut self) -> Option<usize> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
             let false_lit = !p;
-            let watch_list = std::mem::take(&mut self.watches[false_lit.code()]);
-            let mut kept = Vec::with_capacity(watch_list.len());
+            let mut ws = std::mem::take(&mut self.watches[false_lit.code()]);
             let mut conflict = None;
-            let mut iter = watch_list.into_iter();
-            while let Some(ci) = iter.next() {
-                if self.clauses[ci].deleted {
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < ws.len() {
+                let ci = ws[i];
+                i += 1;
+                let clause = &mut self.clauses[ci];
+                if clause.deleted {
+                    // Deleted clauses leave the list lazily, here.
                     continue;
                 }
                 // Make sure the false literal is at position 1.
-                {
-                    let clause = &mut self.clauses[ci];
-                    if clause.lits[0] == false_lit {
-                        clause.lits.swap(0, 1);
-                    }
+                if clause.lits[0] == false_lit {
+                    clause.lits.swap(0, 1);
                 }
-                let first = self.clauses[ci].lits[0];
-                if self.value(first) == Some(true) {
-                    kept.push(ci);
+                let first = clause.lits[0];
+                let first_value = lit_value(&self.assigns, first);
+                if first_value == Some(true) {
+                    ws[j] = ci;
+                    j += 1;
                     continue;
                 }
-                // Look for a replacement watch.
-                let mut replaced = false;
-                let len = self.clauses[ci].lits.len();
-                for k in 2..len {
-                    let candidate = self.clauses[ci].lits[k];
-                    if self.value(candidate) != Some(false) {
-                        self.clauses[ci].lits.swap(1, k);
-                        self.watches[candidate.code()].push(ci);
-                        replaced = true;
-                        break;
-                    }
-                }
-                if replaced {
+                // Look for a replacement watch.  It is never `false_lit`
+                // (which is false), so `ws` is not pushed to meanwhile.
+                let replacement = (2..clause.lits.len())
+                    .find(|&k| lit_value(&self.assigns, clause.lits[k]) != Some(false));
+                if let Some(k) = replacement {
+                    clause.lits.swap(1, k);
+                    let watch = clause.lits[1];
+                    self.watches[watch.code()].push(ci);
                     continue;
                 }
                 // No replacement: the clause is unit or conflicting.
-                kept.push(ci);
-                if self.value(first) == Some(false) {
+                ws[j] = ci;
+                j += 1;
+                if first_value == Some(false) {
                     conflict = Some(ci);
-                    // Copy back the remaining watchers and stop.
-                    kept.extend(iter);
+                    // Keep the unvisited watchers and stop.
+                    while i < ws.len() {
+                        ws[j] = ws[i];
+                        i += 1;
+                        j += 1;
+                    }
                     break;
                 }
                 self.enqueue(first, Some(ci));
             }
-            self.watches[false_lit.code()].extend(kept);
+            ws.truncate(j);
+            debug_assert!(self.watches[false_lit.code()].is_empty());
+            self.watches[false_lit.code()] = ws;
             if conflict.is_some() {
                 return conflict;
             }
@@ -581,8 +595,14 @@ impl Solver {
         }
     }
 
-    fn analyze(&mut self, conflict: usize) -> (Vec<SatLit>, usize) {
-        let mut learnt: Vec<SatLit> = vec![SatLit::positive(Var::from_index(0))]; // placeholder slot 0
+    /// First-UIP conflict analysis.  The learnt clause is left in
+    /// `self.learnt` (asserting literal first, a literal of the backtrack
+    /// level second); the return value is the backtrack level.  The buffer
+    /// is reused across conflicts, so analysis allocates nothing.
+    fn analyze(&mut self, conflict: usize) -> usize {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(SatLit::positive(Var::from_index(0))); // placeholder slot 0
         let mut counter = 0usize;
         let mut p: Option<SatLit> = None;
         let mut index = self.trail.len();
@@ -591,9 +611,9 @@ impl Solver {
 
         loop {
             self.bump_clause(confl);
-            let lits = self.clauses[confl].lits.clone();
             let start = if p.is_none() { 0 } else { 1 };
-            for &q in &lits[start..] {
+            for k in start..self.clauses[confl].lits.len() {
+                let q = self.clauses[confl].lits[k];
                 let v = q.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -643,7 +663,8 @@ impl Solver {
         for lit in &learnt {
             self.seen[lit.var().index()] = false;
         }
-        (learnt, backtrack_level)
+        self.learnt = learnt;
+        backtrack_level
     }
 
     fn reduce_db(&mut self) {
@@ -715,13 +736,13 @@ impl Solver {
                     // UNSAT under the given assumptions.
                     return SolveResult::Unsat;
                 }
-                let (learnt, backtrack_level) = self.analyze(conflict);
+                let backtrack_level = self.analyze(conflict);
                 self.cancel_until(backtrack_level);
-                let asserting = learnt[0];
-                if learnt.len() == 1 {
+                let asserting = self.learnt[0];
+                if self.learnt.len() == 1 {
                     self.enqueue(asserting, None);
                 } else {
-                    let ci = self.attach_clause(learnt, true);
+                    let ci = self.attach_clause(self.learnt.clone(), true);
                     self.bump_clause(ci);
                     self.enqueue(asserting, Some(ci));
                 }
@@ -768,7 +789,7 @@ impl Solver {
                 match decision {
                     None => {
                         // All variables assigned: a model has been found.
-                        self.model = self.assigns.clone();
+                        self.model.clone_from(&self.assigns);
                         return SolveResult::Sat;
                     }
                     Some(var) => {
@@ -781,6 +802,11 @@ impl Solver {
             }
         }
     }
+}
+
+/// The value of `lit` under `assigns`.
+fn lit_value(assigns: &[Option<bool>], lit: SatLit) -> Option<bool> {
+    assigns[lit.var().index()].map(|v| v != lit.is_negative())
 }
 
 #[cfg(test)]

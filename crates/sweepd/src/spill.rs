@@ -26,15 +26,10 @@ use crate::job::{engine_from_u8, engine_to_u8, Priority};
 use crate::protocol::Preset;
 use stp_sweep::Engine;
 
-/// Current `.job` format: v2 plus a trailing shard count.
-const JOB_MAGIC: &[u8; 4] = b"SWJ3";
-/// The pre-shard `.job` format, still accepted by [`SpillDir::read_job`]
-/// (its jobs run unsharded).
-const JOB_MAGIC_V2: &[u8; 4] = b"SWJ2";
-/// The pre-pass-script `.job` format, still accepted by
-/// [`SpillDir::read_job`] (its jobs carry an empty script and run
-/// unsharded).
-const JOB_MAGIC_V1: &[u8; 4] = b"SWJ1";
+/// The `.job` format: submission metadata, AIGER bytes and pass script.
+/// Earlier layouts (`SWJ1` without a pass script, `SWJ3` with a shard
+/// count) are not read: their files are skipped by [`SpillDir::scan`].
+const JOB_MAGIC: &[u8; 4] = b"SWJ4";
 const CKPT_MAGIC: &[u8; 4] = b"SWC1";
 
 /// FNV-1a, the workspace's stock integrity hash for sidecar files.
@@ -59,13 +54,8 @@ pub struct SpilledJob {
     /// The original AIGER bytes — resumes always run against this exact
     /// netlist, which is what makes spilled checkpoints byte-exact.
     pub aiger: Vec<u8>,
-    /// Pass script of a scripted submission; empty for a plain sweep
-    /// (and for every job recovered from a v1 `.job` file).
+    /// Pass script of a scripted submission; empty for a plain sweep.
     pub passes: String,
-    /// Shard count of the sweep ([`stp_sweep::SweepConfig::shards`]);
-    /// `0` — unsharded — for every job recovered from a v1/v2 `.job`
-    /// file.
-    pub shards: u32,
 }
 
 /// One job recovered by [`SpillDir::scan`].
@@ -124,13 +114,6 @@ impl SpillDir {
     /// Reads a checksummed file back; `Ok(None)` when missing, an error
     /// when present but corrupt.
     fn read_verified(path: &Path, magic: &[u8; 4]) -> io::Result<Option<Vec<u8>>> {
-        Ok(Self::read_verified_any(path, &[magic])?.map(|(_, body)| body))
-    }
-
-    /// Like [`Self::read_verified`], but accepting any of several format
-    /// magics; returns the index of the one that matched alongside the
-    /// payload, so callers can parse older layouts.
-    fn read_verified_any(path: &Path, magics: &[&[u8; 4]]) -> io::Result<Option<(usize, Vec<u8>)>> {
         let bytes = match fs::read(path) {
             Ok(bytes) => bytes,
             Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -142,19 +125,14 @@ impl SpillDir {
                 format!("{}: {what}", path.display()),
             )
         };
-        let which = if bytes.len() >= 12 {
-            magics.iter().position(|magic| &bytes[..4] == *magic)
-        } else {
-            None
-        };
-        let Some(which) = which else {
+        if bytes.len() < 12 || &bytes[..4] != magic {
             return Err(corrupt("bad magic or truncated"));
-        };
+        }
         let (body, sum) = bytes.split_at(bytes.len() - 8);
         if fnv64(body) != u64::from_be_bytes(sum.try_into().expect("8 bytes")) {
             return Err(corrupt("checksum mismatch"));
         }
-        Ok(Some((which, body[4..].to_vec())))
+        Ok(Some(body[4..].to_vec()))
     }
 
     /// Records a submission durably.
@@ -167,22 +145,14 @@ impl SpillDir {
         payload.extend_from_slice(&job.aiger);
         payload.extend_from_slice(&(job.passes.len() as u32).to_be_bytes());
         payload.extend_from_slice(job.passes.as_bytes());
-        payload.extend_from_slice(&job.shards.to_be_bytes());
         Self::write_atomic(&self.job_path(fp), JOB_MAGIC, &payload)
     }
 
     /// Reads a submission back; `Ok(None)` when no `.job` file exists.
-    /// The current (`SWJ3`) and both older (`SWJ2`, `SWJ1`) layouts are
-    /// accepted; v2 jobs come back unsharded, v1 jobs additionally with
-    /// an empty pass script.
     pub fn read_job(&self, fp: u64) -> io::Result<Option<SpilledJob>> {
-        let Some((which, payload)) =
-            Self::read_verified_any(&self.job_path(fp), &[JOB_MAGIC, JOB_MAGIC_V2, JOB_MAGIC_V1])?
-        else {
+        let Some(payload) = Self::read_verified(&self.job_path(fp), JOB_MAGIC)? else {
             return Ok(None);
         };
-        let is_v1 = which == 2;
-        let has_shards = which == 0;
         let corrupt = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
         if payload.len() < 11 {
             return Err(corrupt("job record truncated"));
@@ -190,49 +160,28 @@ impl SpillDir {
         let priority = Priority::from_u8(payload[0]).ok_or_else(|| corrupt("bad priority"))?;
         let engine = engine_from_u8(payload[1]).ok_or_else(|| corrupt("bad engine"))?;
         let preset = Preset::from_u8(payload[2]).ok_or_else(|| corrupt("bad preset"))?;
-        let len = u64::from_be_bytes(payload[3..11].try_into().expect("8 bytes")) as usize;
-        let aiger_end = 11usize
-            .checked_add(len)
-            .filter(|&end| end <= payload.len())
+        let len = u64::from_be_bytes(payload[3..11].try_into().expect("8 bytes"));
+        let aiger_end = usize::try_from(len)
+            .ok()
+            .and_then(|len| len.checked_add(11))
+            .filter(|&end| end.saturating_add(4) <= payload.len())
             .ok_or_else(|| corrupt("job record length mismatch"))?;
-        let (passes, shards) = if is_v1 {
-            if payload.len() != aiger_end {
-                return Err(corrupt("job record length mismatch"));
-            }
-            (String::new(), 0)
-        } else {
-            if payload.len() < aiger_end + 4 {
-                return Err(corrupt("job record truncated"));
-            }
-            let passes_len = u32::from_be_bytes(
-                payload[aiger_end..aiger_end + 4]
-                    .try_into()
-                    .expect("4 bytes"),
-            ) as usize;
-            let passes_end = aiger_end
-                .checked_add(4 + passes_len)
-                .filter(|&end| end <= payload.len())
-                .ok_or_else(|| corrupt("job record length mismatch"))?;
-            let tail = if has_shards { 4 } else { 0 };
-            if payload.len() != passes_end + tail {
-                return Err(corrupt("job record length mismatch"));
-            }
-            let passes = String::from_utf8(payload[aiger_end + 4..passes_end].to_vec())
-                .map_err(|_| corrupt("non-UTF-8 pass script"))?;
-            let shards = if has_shards {
-                u32::from_be_bytes(payload[passes_end..].try_into().expect("4 bytes"))
-            } else {
-                0
-            };
-            (passes, shards)
-        };
+        let passes_len = u32::from_be_bytes(
+            payload[aiger_end..aiger_end + 4]
+                .try_into()
+                .expect("4 bytes"),
+        ) as usize;
+        if payload.len() != aiger_end + 4 + passes_len {
+            return Err(corrupt("job record length mismatch"));
+        }
+        let passes = String::from_utf8(payload[aiger_end + 4..].to_vec())
+            .map_err(|_| corrupt("non-UTF-8 pass script"))?;
         Ok(Some(SpilledJob {
             priority,
             engine,
             preset,
             aiger: payload[11..aiger_end].to_vec(),
             passes,
-            shards,
         }))
     }
 
@@ -312,55 +261,44 @@ mod tests {
             preset: Preset::Fast,
             aiger: b"aag 1 1 0 1 0\n2\n2\n".to_vec(),
             passes: String::new(),
-            shards: 0,
         }
     }
 
     #[test]
-    fn scripted_jobs_round_trip_and_v1_files_still_read() {
+    fn scripted_jobs_round_trip_and_older_layouts_are_skipped() {
         let spill = SpillDir::open(fresh_dir("script")).expect("open");
         let scripted = SpilledJob {
             passes: "strash;rewrite;sweep(stp);verify".into(),
-            shards: 4,
             ..sample_job()
         };
         spill.write_job(0xC0, &scripted).expect("write");
-        assert_eq!(spill.read_job(0xC0).expect("read"), Some(scripted));
+        assert_eq!(spill.read_job(0xC0).expect("read"), Some(scripted.clone()));
 
-        // A `.job` file spilled by a pre-script build: same payload, SWJ1
-        // magic, no trailing script field.  It must read back with an
-        // empty script, not an error.
-        let v1 = sample_job();
+        // A `.job` file of an earlier layout (here `SWJ3`: the same record
+        // plus a trailing shard count) is refused, and scan skips it.
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(JOB_MAGIC_V1);
-        bytes.push(v1.priority.to_u8());
-        bytes.push(engine_to_u8(v1.engine));
-        bytes.push(v1.preset.to_u8());
-        bytes.extend_from_slice(&(v1.aiger.len() as u64).to_be_bytes());
-        bytes.extend_from_slice(&v1.aiger);
+        bytes.extend_from_slice(b"SWJ3");
+        bytes.push(scripted.priority.to_u8());
+        bytes.push(engine_to_u8(scripted.engine));
+        bytes.push(scripted.preset.to_u8());
+        bytes.extend_from_slice(&(scripted.aiger.len() as u64).to_be_bytes());
+        bytes.extend_from_slice(&scripted.aiger);
+        bytes.extend_from_slice(&(scripted.passes.len() as u32).to_be_bytes());
+        bytes.extend_from_slice(scripted.passes.as_bytes());
+        bytes.extend_from_slice(&2u32.to_be_bytes());
         bytes.extend_from_slice(&fnv64(&bytes).to_be_bytes());
-        fs::write(spill.path().join(format!("{:016x}.job", 0xC1u64)), &bytes).expect("write v1");
-        assert_eq!(spill.read_job(0xC1).expect("read v1"), Some(v1));
+        fs::write(spill.path().join(format!("{:016x}.job", 0xC3u64)), &bytes).expect("write v3");
+        assert!(spill.read_job(0xC3).is_err());
+        assert_eq!(spill.scan().expect("scan").len(), 1);
 
-        // A `.job` file spilled by a pre-shard build: SWJ2 magic, a pass
-        // script, no trailing shard count.  It must read back unsharded.
-        let v2 = SpilledJob {
-            passes: "strash;sweep(stp)".into(),
-            ..sample_job()
-        };
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(JOB_MAGIC_V2);
-        bytes.push(v2.priority.to_u8());
-        bytes.push(engine_to_u8(v2.engine));
-        bytes.push(v2.preset.to_u8());
-        bytes.extend_from_slice(&(v2.aiger.len() as u64).to_be_bytes());
-        bytes.extend_from_slice(&v2.aiger);
-        bytes.extend_from_slice(&(v2.passes.len() as u32).to_be_bytes());
-        bytes.extend_from_slice(v2.passes.as_bytes());
-        bytes.extend_from_slice(&fnv64(&bytes).to_be_bytes());
-        fs::write(spill.path().join(format!("{:016x}.job", 0xC2u64)), &bytes).expect("write v2");
-        assert_eq!(spill.read_job(0xC2).expect("read v2"), Some(v2));
-        assert_eq!(spill.scan().expect("scan").len(), 3);
+        // A length field pointing past the record is corruption, not a
+        // panic or an allocation of that size.
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&[0, 0, 0]);
+        payload.extend_from_slice(&u64::MAX.to_be_bytes());
+        payload.extend_from_slice(&[0; 4]);
+        SpillDir::write_atomic(&spill.job_path(0xC4), JOB_MAGIC, &payload).expect("write");
+        assert!(spill.read_job(0xC4).is_err());
         let _ = fs::remove_dir_all(spill.path());
     }
 

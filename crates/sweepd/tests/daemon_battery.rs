@@ -110,10 +110,13 @@ fn sliced_mixed_priority_jobs_match_uninterrupted_runs() {
 
 #[test]
 fn crash_recovery_resumes_spilled_jobs_byte_exactly() {
+    // Both jobs must outlive the first spilled checkpoint: each takes
+    // several 3 ms quanta in process (a 16-bit shifter sweeps in about
+    // 2 ms, inside its first slice, and would finish before the crash).
     let circuits = [
         (
             Priority::High,
-            inject_redundancy(&generators::barrel_shifter(16), 0.5, 7),
+            inject_redundancy(&generators::barrel_shifter(32), 0.5, 7),
         ),
         (
             Priority::Normal,
@@ -417,7 +420,6 @@ fn scripted_jobs_match_in_process_pipelines_and_recover_from_spill() {
             preset: Preset::Fast,
             aiger: aiger_bytes(&other),
             passes: script.to_string(),
-            shards: 0,
         },
     )
     .expect("job spills");
@@ -447,13 +449,12 @@ fn scripted_jobs_match_in_process_pipelines_and_recover_from_spill() {
 }
 
 #[test]
-fn a_sharded_job_matches_the_unsharded_reference() {
-    // Sharding is a scheduling preference, not a behaviour: a job swept
-    // over 3 shards — sliced on a tiny quantum, with within-slice
-    // checkpoints spilled and resumed — must produce the same AIGER bytes
-    // and committed counters as the unsharded, uninterrupted reference.
+fn a_finely_sliced_job_matches_the_uninterrupted_reference() {
+    // A job sliced on a tiny quantum, with within-slice checkpoints
+    // spilled and resumed, must produce the same AIGER bytes and
+    // committed counters as the uninterrupted in-process reference.
     let aig = inject_redundancy(&generators::barrel_shifter(16), 0.5, 21);
-    let spill = fresh_dir("sharded");
+    let spill = fresh_dir("sliced");
     let service = SweepService::start(ServiceConfig {
         workers: 2,
         quantum: Duration::from_millis(2),
@@ -462,33 +463,14 @@ fn a_sharded_job_matches_the_unsharded_reference() {
     })
     .expect("service starts");
     let (id, adopted) = service
-        .submit_with_options(
+        .submit(
             Priority::Normal,
             Engine::Stp,
             Preset::Fast,
-            "",
-            3,
             &aiger_bytes(&aig),
         )
         .expect("submit succeeds");
     assert!(!adopted);
-
-    // A resubmission under a different shard count is a settings conflict,
-    // same as changing the engine or the script.
-    let err = service
-        .submit_with_options(
-            Priority::Normal,
-            Engine::Stp,
-            Preset::Fast,
-            "",
-            2,
-            &aiger_bytes(&aig),
-        )
-        .expect_err("a conflicting shard count is refused");
-    assert!(
-        err.contains("3 shards"),
-        "the error names the shards: {err}"
-    );
 
     let info = service.wait(id, WAIT).expect("job finishes");
     assert_eq!(info.state, JobState::Done);
@@ -497,7 +479,7 @@ fn a_sharded_job_matches_the_unsharded_reference() {
     assert_eq!(
         String::from_utf8(aiger).expect("AIGER is text"),
         want_aiger,
-        "sharded daemon output differs from the unsharded reference"
+        "finely sliced daemon output differs from the uninterrupted reference"
     );
     assert_eq!(counters, want_counters);
     service.shutdown();

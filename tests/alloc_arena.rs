@@ -1,6 +1,6 @@
 //! Resource-bound guarantees of the locality-first simulation core.
 //!
-//! Two contracts are pinned here:
+//! Three contracts are pinned here:
 //!
 //! * **O(1) allocations per simulation pass.**  The struct-of-arrays
 //!   [`SignatureArena`] replaces one heap `Vec<u64>` per node with a single
@@ -16,8 +16,13 @@
 //!   prototypes), so the live footprint stays bounded by that plus the
 //!   compaction cadence.
 //!
-//! The two tests share a lock: the allocation counter is global, so the
-//! footprint test must not allocate concurrently with the measurement.
+//! * **No allocation per propagated literal in the CDCL kernel.**  Watch
+//!   lists are compacted in place and conflict analysis reuses its buffer,
+//!   so a search allocates per learnt clause (plus amortized growth of the
+//!   clause and watch vectors), not per propagation.
+//!
+//! The tests share a lock: the allocation counter is global, so no test
+//! may allocate concurrently with another's measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,6 +30,7 @@ use std::sync::Mutex;
 
 use stp_sat_sweep::bitsim::{AigSimulator, PatternSet};
 use stp_sat_sweep::netlist::{Aig, Lit};
+use stp_sat_sweep::satsolver::{SatLit, SolveResult, Solver};
 use stp_sat_sweep::workloads::{hwmcc_suite, inject_redundancy, Scale};
 use stp_sat_sweep::{Engine, Observer, SweepConfig, Sweeper};
 
@@ -47,8 +53,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serializes the two tests so the footprint run's allocations cannot leak
-/// into the measurement window.
+/// Serializes the tests so one test's allocations cannot leak into
+/// another's measurement window.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// A wide synthetic network: enough AND nodes that a per-node layout would
@@ -163,5 +169,61 @@ fn compaction_bounds_the_pattern_footprint() {
         result.report.patterns_dropped,
         log.events.iter().map(|&(_, d)| d as u64).sum::<u64>(),
         "report aggregates the observer's dropped counts"
+    );
+}
+
+/// The pigeonhole formula PHP(pigeons, holes): every pigeon sits in some
+/// hole, no hole holds two pigeons.  Unsatisfiable when pigeons > holes,
+/// and hard enough for thousands of conflicts.
+fn pigeonhole(pigeons: usize, holes: usize) -> Solver {
+    let mut solver = Solver::new();
+    let grid: Vec<Vec<_>> = (0..pigeons)
+        .map(|_| (0..holes).map(|_| solver.new_var()).collect())
+        .collect();
+    for row in &grid {
+        let clause: Vec<SatLit> = row.iter().map(|&v| SatLit::positive(v)).collect();
+        solver.add_clause(&clause);
+    }
+    for (p, row) in grid.iter().enumerate() {
+        for other in &grid[p + 1..] {
+            for (&a, &b) in row.iter().zip(other) {
+                solver.add_clause(&[SatLit::negative(a), SatLit::negative(b)]);
+            }
+        }
+    }
+    solver
+}
+
+#[test]
+fn cdcl_search_allocates_per_conflict_not_per_propagation() {
+    let _guard = SERIAL.lock().unwrap();
+    let mut solver = pigeonhole(7, 6);
+
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let result = solver.solve();
+    let after = ALLOCS.load(Ordering::SeqCst);
+    let allocs = (after - before) as u64;
+
+    assert_eq!(result, SolveResult::Unsat);
+    let stats = solver.stats();
+    assert!(
+        stats.conflicts >= 500,
+        "the instance must be hard ({} conflicts)",
+        stats.conflicts
+    );
+    // One learnt clause per conflict plus amortized vector growth and the
+    // occasional learnt-database reduction.
+    let bound = 2 * stats.conflicts + 500;
+    assert!(
+        allocs <= bound,
+        "{allocs} allocations for {} conflicts (bound {bound})",
+        stats.conflicts
+    );
+    // A kernel that allocates per propagated literal needs at least
+    // `propagations` allocations.
+    assert!(
+        allocs * 4 < stats.propagations,
+        "{allocs} allocations for {} propagations: the kernel allocates per propagation",
+        stats.propagations
     );
 }
